@@ -133,6 +133,88 @@ register(BenchCase(
 ))
 
 
+def _compile_pass(benchmarks):
+    """Baseline-compile and translate every method of ``benchmarks``.
+
+    Each benchmark gets a fresh program and VM at fastpath level 2, so
+    every method is JIT-compiled and translated (superblocks included)
+    exactly once.  Returns ``(seconds, sources)``: the seconds cover
+    only compilation plus translation, and ``sources`` lists each
+    method's generated superblock source.
+    """
+    from repro.harness.runner import RunSpec, make_vm
+    from repro.hw.translate import superblock_source, translation_for
+
+    seconds = 0.0
+    sources = []
+    for benchmark in benchmarks:
+        vm, workload = make_vm(benchmark, RunSpec(benchmark=benchmark),
+                               fastpath=2)
+        methods = workload.program.all_methods()
+        start = time.perf_counter()
+        cms = [vm.compiled_code_for(m) for m in methods]
+        for cm in cms:
+            translation_for(cm, vm.cpu)
+        seconds += time.perf_counter() - start
+        for cm in cms:
+            built = superblock_source(cm)
+            sources.append(built[0] if built else None)
+    return seconds, sources
+
+
+def run_translate(params: Dict[str, object]) -> Dict[str, object]:
+    """JIT plus translation per method, on a cold and a warm cache.
+
+    The cold pass starts from an empty superblock factory cache, so it
+    pays one ``compile()`` per distinct source; the warm pass repeats
+    the same work and must only hit the cache.  Both are best-of-
+    ``repeats`` (each cold repetition clears the cache first).
+    """
+    from repro.hw.translate import _compiled_factory
+
+    benchmarks = [str(b) for b in params["benchmarks"]]
+    repeats = int(params["repeats"])
+    cold = []
+    for _ in range(repeats):
+        _compiled_factory.cache_clear()
+        cold.append(_compile_pass(benchmarks))
+    cold_misses = _compiled_factory.cache_info().misses
+    warm = [_compile_pass(benchmarks) for _ in range(repeats)]
+    warm_misses = _compiled_factory.cache_info().misses - cold_misses
+    methods = len(cold[0][1])
+    return {
+        "benchmarks": ",".join(benchmarks),
+        "methods": methods,
+        "repeats": repeats,
+        "cold_ms_per_method": round(
+            min(s for s, _ in cold) * 1e3 / methods, 4),
+        "warm_ms_per_method": round(
+            min(s for s, _ in warm) * 1e3 / methods, 4),
+        "cold_misses": cold_misses,
+        "warm_misses": warm_misses,
+        "identical_source": all(sources == cold[0][1]
+                                for _, sources in cold + warm),
+    }
+
+
+register(BenchCase(
+    name="translate",
+    description="JIT plus translation of every method, ms/method on a "
+                "cold and a warm superblock factory cache",
+    run=run_translate,
+    params={"benchmarks": ["jython", "fop"], "repeats": 3},
+    gates=(
+        Gate("identical_source", "==", True,
+             "cold and warm passes generate identical superblock source"),
+        Gate("warm_misses", "<=", 0,
+             "the warm pass compiles nothing"),
+    ),
+    primary_metric="warm_ms_per_method",
+    primary_direction="lower",
+    compare_threshold=0.30,
+))
+
+
 def run_interp_snapshot(params: Dict[str, object]) -> Dict[str, object]:
     """Snapshot/resume: bit-identity plus the resumed-delta wall bound.
 

@@ -39,10 +39,14 @@ def subsystem_of(filename: Optional[str]) -> str:
 
     ``repro/<pkg>/...`` maps to ``<pkg>`` (hw, jit, gc, vm, core,
     perfmon, harness, telemetry, lineage, analysis, workloads, bench);
-    repro's top-level modules map to ``core``; builtins and frames
-    without a file map to ``builtin``; the Python installation's own
-    modules map to ``stdlib``; everything else is ``host``.
+    repro's top-level modules map to ``core``; generated superblock
+    code (``<superblock …>``, see :mod:`repro.hw.translate`) is guest
+    dispatch and maps to ``hw``; other builtins and frames without a
+    file map to ``builtin``; the Python installation's own modules map
+    to ``stdlib``; everything else is ``host``.
     """
+    if filename and filename.startswith("<superblock "):
+        return "hw"
     if not filename or filename.startswith("<"):
         return "builtin"
     norm = os.path.abspath(filename)

@@ -171,26 +171,19 @@ class MemorySystem:
 
     # -- the batched hot path -------------------------------------------------
 
-    def access_run(self, addrs, writes, eips, start: int = 0) -> int:
-        """Perform one superblock's deferred accesses in one call.
-
-        ``addrs`` is the block's address batch in program order;
-        ``writes[start + j]`` / ``eips[start + j]`` carry the
-        translate-time constant is-write flag and EIP of the ``j``-th
-        batched access (the block may flush in segments — write
-        barriers, faults — so ``start`` re-anchors the batch into the
-        block's full metadata tuples).  Returns the summed latency.
-        """
-        return self.access_run_segments(((addrs, writes, eips, start),))
-
     def access_run_segments(self, segments) -> int:
         """Perform a run of deferred-access segments in one call.
 
-        Each segment is an ``(addrs, writes, eips, start)`` quadruple as
-        in :meth:`access_run`; consecutive superblocks executed since
-        the last drain contribute one segment each, so the whole
-        scheduler quantum's accesses are usually simulated here in a
-        single call.  Returns the summed latency.
+        Each segment is an ``(addrs, writes, eips, start)`` quadruple:
+        ``addrs`` is one superblock's address batch in program order,
+        and ``writes[start + j]`` / ``eips[start + j]`` carry the
+        translate-time constant is-write flag and EIP of its ``j``-th
+        access (a block may flush in segments — write barriers, faults
+        — so ``start`` re-anchors the batch into the block's full
+        metadata tuples).  Consecutive superblocks executed since the
+        last drain contribute one segment each, so the whole scheduler
+        quantum's accesses are usually simulated here in a single call.
+        Returns the summed latency.
 
         Per-access semantics are exactly :meth:`access` — same probe
         order, same counter totals at every flush point, same

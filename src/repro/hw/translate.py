@@ -43,7 +43,12 @@ guest faults.  Three conventions make that cheap to maintain:
   vtable dispatch through the receiver, and ``static_addr`` (whose
   lazy base assignment depends on first-touch order).
 
-Translations close over the CPU's bound services, so they are cached
+Translation happens at two levels.  The generated superblock *code*
+holds no run state (EIPs, write flags and static class/field objects
+travel as constants; the CPU's services arrive as arguments), so each
+distinct superblock source is compiled once per process and its
+factory reused by every later run (see :func:`compile_superblocks`).
+The *closures* close over the CPU's bound services, so they are built
 per ``(CompiledMethod, CPU)`` and rebuilt if either changes; the code
 cache drops them when a method is recompiled (see
 :meth:`~repro.jit.codecache.CodeCache.note_replaced`).
@@ -51,6 +56,7 @@ cache drops them when a method is recompiled (see
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List
 
 from repro.hw.isa import (
@@ -763,13 +769,13 @@ def translate(cm, cpu) -> Translation:
 # Superblock compilation (fastpath level 2).
 #
 # Straight-line runs of fusible instructions are compiled — via a small
-# source-level template JIT (``compile()`` + ``exec`` once per method) —
-# into single closures that execute the whole run, deferring memory
-# accesses into a local batch.  The batch joins the CPU's pending
-# segment list at block exit; the driver drains the list in one
-# :meth:`~repro.hw.memsys.MemorySystem.access_run_segments` call at
-# quantum boundaries and before any per-instruction fallback, so the
-# accesses of many chained blocks are simulated together.  The driver
+# source-level template JIT (``compile()`` + ``exec`` once per distinct
+# source per process) — into single closures that execute the whole
+# run, deferring memory accesses into a local batch.  The batch joins
+# the CPU's pending segment list at block exit; the driver drains the
+# list in one :meth:`~repro.hw.memsys.MemorySystem.access_run_segments`
+# call at quantum boundaries and before any per-instruction fallback, so
+# the accesses of many chained blocks are simulated together.  The driver
 # charges a run's base cycles as ``length * instruction_cost`` in one
 # step and polls the scheduler only when the quantum budget empties, so
 # a fused run eliminates the per-instruction dispatch, the per-access
@@ -798,6 +804,10 @@ def translate(cm, cpu) -> Translation:
 # safepoints, profiler callbacks, and ``frame.pc`` anchoring untouched.
 # ---------------------------------------------------------------------------
 
+#: Distinct superblock sources kept compiled per process.  The whole
+#: figure-spec set of one benchmark needs a few hundred; the bound only
+#: caps memory in a long-lived process such as ``repro serve``.
+FACTORY_CACHE_SIZE = 4096
 #: Fused runs are capped so a run usually fits the remaining scheduler
 #: quantum (SCHED_QUANTUM = 128); longer runs split into chained blocks.
 MAX_SUPERBLOCK = 64
@@ -1226,17 +1236,37 @@ def superblock_source(cm) -> tuple:
     return "\n".join(lines) + "\n", consts, ranges
 
 
+@functools.lru_cache(maxsize=FACTORY_CACHE_SIZE)
+def _compiled_factory(filename: str, source: str) -> Callable:
+    """The ``_factory`` function of one superblock source.
+
+    Compiled once per process per ``(filename, source)``: the source
+    holds no run state, so every later run of an identical method only
+    calls the cached factory.  ``filename`` is part of the key so each
+    method's closures keep their own name in tracebacks and profiles.
+    """
+    namespace: Dict[str, object] = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["_factory"]
+
+
 def compile_superblocks(cm, cpu) -> "List | None":
-    """Build the per-pc superblock table for ``cm`` bound to ``cpu``."""
+    """Build the per-pc superblock table for ``cm`` bound to ``cpu``.
+
+    The generated source is compiled at most once per process (see
+    :func:`_compiled_factory`); each call then binds this run's cycle
+    cell, pending-segment list, drain, write barrier, ``static_addr``,
+    method and consts by calling the cached factory, so the returned
+    closures belong to ``cpu`` alone.
+    """
     built = superblock_source(cm)
     blocks: List = [None] * len(cm.code)
     if built is None:
         return blocks
     source, consts, ranges = built
-    filename = f"<superblock {cm.method.qualified_name}>"
-    namespace: Dict[str, object] = {}
-    exec(compile(source, filename, "exec"), namespace)
-    closures = namespace["_factory"](
+    factory = _compiled_factory(
+        f"<superblock {cm.method.qualified_name}>", source)
+    closures = factory(
         cpu._cyc_cell, cpu._pending.append, cpu.drain_accesses,
         cpu.runtime.plan.write_barrier, cpu.runtime.static_addr,
         GuestError, cm.method, tuple(consts))

@@ -153,7 +153,8 @@ class TestBenchCase:
 
     def test_builtin_cases_registered(self):
         names = {case.name for case in all_cases()}
-        assert {"interp", "runner", "audit", "lineage", "suite"} <= names
+        assert {"interp", "runner", "audit", "lineage", "suite",
+                "translate"} <= names
         interp = get_case("interp")
         assert any(g.limit == "min_speedup" for g in interp.gates)
         with pytest.raises(ValueError, match="unknown bench case"):
@@ -197,6 +198,17 @@ class TestRunCase:
                            overrides={"value": 5.0})
         assert not failing.passed
         assert [g["passed"] for g in failing.gates] == [False]
+
+    def test_translate_case_warm_pass_compiles_nothing(self):
+        run_result = run_case(get_case("translate"),
+                              overrides={"benchmarks": ["fop"],
+                                         "repeats": 1})
+        metrics = run_result.metrics
+        assert run_result.passed, run_result.gates
+        assert metrics["identical_source"] is True
+        assert metrics["warm_misses"] == 0 and metrics["cold_misses"] > 0
+        assert metrics["methods"] > 0
+        assert metrics["warm_ms_per_method"] > 0
 
     def test_run_cases_filters_shared_overrides(self):
         seen = {}
@@ -458,6 +470,7 @@ class TestProfile:
         assert subsystem_of(top_level) == "core"
         assert subsystem_of(None) == "builtin"
         assert subsystem_of("<string>") == "builtin"
+        assert subsystem_of("<superblock Foo.bar>") == "hw"
         assert subsystem_of(os.__file__) == "stdlib"
         assert subsystem_of("/nowhere/else/x.py") == "host"
 

@@ -5,8 +5,9 @@ observable of a run — exit values, cycle and instruction counts,
 hardware event counters, GC statistics, sampled EIPs — is bit-identical
 to the reference interpreter at both level 1 (per-instruction closures)
 and level 2 (superblocks), translations are cached per compiled method
-and dropped on recompilation, and the ``fastpath`` knob never leaks
-into the experiment cache key.
+and dropped on recompilation, superblock code is compiled once per
+process without sharing any run's state, and the ``fastpath`` knob
+never leaks into the experiment cache key.
 """
 
 import dataclasses
@@ -20,7 +21,8 @@ from repro.harness import diskcache, runner
 from repro.harness.record import RunRecord
 from repro.harness.runner import RunSpec, execute
 from repro.hw.isa import M_BC, M_BR
-from repro.hw.translate import (MIN_SUPERBLOCK, superblock_ranges,
+from repro.hw.translate import (MIN_SUPERBLOCK, _compiled_factory,
+                                superblock_ranges, superblock_source,
                                 translation_for)
 from repro.vm.program import Program
 from repro.vm.vmcore import VM, run_program
@@ -300,6 +302,103 @@ class TestSuperblocks:
         assert tr.blocks is not None
         vm.opt_compile(p.main)
         assert cm.translation is None
+
+
+def _twin_program():
+    """Main calling two methods whose bodies are identical."""
+    p = Program("twins")
+    app = p.define_class("App")
+    app.seal()
+    box = p.define_class("Box")
+    box.add_field("v", "int")
+    box.add_field("w", "int")
+    box.seal()
+
+    twins = []
+    for name in ("left", "right"):
+        fn = Fn(p, app, name, args=["ref"])
+        fn.rload(0).rload(0).getfield(box, "v").putfield(box, "w")
+        fn.rload(0).getfield(box, "w").emit("pop")
+        fn.ret()
+        twins.append(fn.finish())
+    main = Fn(p, app, "main")
+    obj = main.local()
+    main.new(box).rstore(obj)
+    for method in twins:
+        main.rload(obj).call(method)
+    main.ret()
+    p.set_main(main.finish())
+    return p, twins
+
+
+def _block_closures(cm, cpu):
+    return [blk[1] for blk in translation_for(cm, cpu).blocks
+            if blk is not None]
+
+
+def _free(closure, name):
+    code = closure.__code__
+    return closure.__closure__[code.co_freevars.index(name)].cell_contents
+
+
+class TestFactoryCache:
+    """Superblock sources compile once per process; every run still
+    gets closures bound to its own CPU and identical records."""
+
+    def test_warm_cache_records_identical(self):
+        specs = [RunSpec(benchmark="fop", monitoring=True),
+                 RunSpec(benchmark="jython", monitoring=True),
+                 RunSpec(benchmark="fop", monitoring=True)]
+        _compiled_factory.cache_clear()
+        warm = [RunRecord.from_result(execute(spec, fastpath=2)).to_json()
+                for spec in specs]
+        cold = {}
+        for spec in specs[:2]:
+            _compiled_factory.cache_clear()
+            cold[spec] = RunRecord.from_result(
+                execute(spec, fastpath=2)).to_json()
+        assert warm == [cold[spec] for spec in specs]
+
+    def test_repeat_run_adds_no_misses(self):
+        spec = RunSpec(benchmark="fop", monitoring=False)
+        execute(spec, fastpath=2)
+        misses = _compiled_factory.cache_info().misses
+        execute(spec, fastpath=2)
+        assert _compiled_factory.cache_info().misses == misses
+
+    def test_twins_keep_their_own_filename(self):
+        p, (left, right) = _twin_program()
+        vm = _vm(p, fastpath=2)
+        cms = [vm.compiled_code_for(m) for m in (left, right)]
+        assert superblock_source(cms[0])[0] == superblock_source(cms[1])[0]
+        names = [{c.__code__.co_filename for c in _block_closures(cm, vm.cpu)}
+                 for cm in cms]
+        assert names == [{"<superblock App.left>"},
+                         {"<superblock App.right>"}]
+
+    def test_closures_bind_the_current_run(self):
+        p, _ = _loop_program()
+        first = _vm(p, fastpath=2)
+        first_closures = _block_closures(
+            first.compiled_code_for(p.main), first.cpu)
+        misses = _compiled_factory.cache_info().misses
+        second = _vm(p, fastpath=2)
+        closures = _block_closures(second.compiled_code_for(p.main),
+                                   second.cpu)
+        assert _compiled_factory.cache_info().misses == misses
+        assert [c.__code__ for c in closures] == \
+            [c.__code__ for c in first_closures]
+        assert second.cpu._pending is not first.cpu._pending
+        faults = []
+        for closure in closures:
+            assert _free(closure, "pend").__self__ is second.cpu._pending
+            if "fault" in closure.__code__.co_freevars:
+                faults.append(_free(closure, "fault"))
+        assert faults  # the loop body can fault: its helper binds cell
+        for fault in faults:
+            assert _free(fault, "cell") is second.cpu._cyc_cell
+            assert _free(fault, "cell") is not first.cpu._cyc_cell
+            assert _free(fault, "pend").__self__ is second.cpu._pending
 
 
 class TestCacheKeyUnchanged:
