@@ -29,16 +29,20 @@ MANIFEST_VERSION = 1
 def manifest(spec, fastpath: "bool | None" = None) -> dict:
     """The provenance manifest for one run of ``spec``.
 
-    ``fastpath`` is the knob the run actually used (``None`` resolves
-    the environment default, the same way :func:`fastpath_enabled`
-    does for an execution).
+    The manifest stamps ``spec.key()``, the spec the caches store the
+    record under, so a record shared by several seeds (an unmonitored
+    run) names the one key it is stored under.  ``fastpath`` is the
+    knob the run actually used (``None`` resolves the environment
+    default, the same way :func:`fastpath_enabled` does for an
+    execution).
     """
+    key = spec.key()
     return {
         "manifest_version": MANIFEST_VERSION,
         "code_version": diskcache.code_version(),
-        "spec": asdict(spec),
-        "spec_key": diskcache.spec_key(spec),
-        "seed": spec.seed,
+        "spec": asdict(key),
+        "spec_key": diskcache.spec_key(key),
+        "seed": key.seed,
         "fastpath": fastpath_enabled(fastpath),
         "record_schema": SCHEMA_VERSION,
     }

@@ -14,8 +14,7 @@ Around the registry sit four services:
   wall-time statistics (median, MAD, min),
 * :mod:`repro.bench.history` appends every run to the persistent
   ``results/bench_history.jsonl`` trajectory (keyed by code version,
-  git sha, and timestamp) and can seed it from legacy ``BENCH_*.json``
-  artifacts,
+  git sha, and timestamp),
 * :mod:`repro.bench.compare` scores a run against a baseline window of
   compatible history entries and emits improved/ok/regressed verdicts,
 * :mod:`repro.bench.profile` wraps any case in cProfile, attributes
@@ -24,9 +23,7 @@ Around the registry sit four services:
   speedscope — the host-side mirror of the simulated-cycle tracer.
 
 Everything is reachable through ``python -m repro bench
-list|run|history|compare|profile|migrate``; the old ``scripts/
-bench_*.py`` entry points are thin back-compat wrappers over the same
-cases.
+list|run|history|compare|profile``.
 """
 
 from repro.bench.registry import (BenchCase, Gate, all_cases,  # noqa: F401

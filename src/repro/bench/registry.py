@@ -5,9 +5,8 @@ callable from a params dict to a flat metrics dict, plus the **gates**
 that turn those metrics into a pass/fail verdict (speedup floors,
 overhead ceilings, bit-identity equalities) and a **primary metric**
 that regression detection (:mod:`repro.bench.compare`) tracks over
-time.  Gates preserve the semantics of the four historical
-``scripts/bench_*.py`` CI gates exactly: a case fails its run when any
-gate fails, independent of what the history says.
+time.  A case fails its run when any gate fails, independent of what
+the history says.
 
 A :class:`Gate` limit may be a literal number/bool or the *name of a
 case parameter* — ``Gate("speedup", ">=", "min_speedup")`` — so

@@ -4,7 +4,9 @@ Re-running any figure — locally or in CI — should cost simulation time
 only once.  Runs are deterministic functions of their :class:`RunSpec`
 *and* of the simulator's code, so the cache key combines both:
 
-* **spec key** — a hash of the spec's canonical JSON form,
+* **spec key** — a hash of the canonical JSON form of
+  :meth:`RunSpec.key` (an unmonitored run is keyed at the default
+  seed, since it is the same run for every seed),
 * **code version** — a hash over every source file of the ``repro``
   package (plus the record schema version).  Any change to the
   simulator, GC, JIT, or harness invalidates every cached result at
@@ -80,8 +82,8 @@ def code_version() -> str:
 
 
 def spec_key(spec) -> str:
-    """Stable hash of one RunSpec's canonical JSON form."""
-    canonical = json.dumps(asdict(spec), sort_keys=True)
+    """Stable hash of the canonical JSON form of ``spec.key()``."""
+    canonical = json.dumps(asdict(spec.key()), sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:24]
 
 
@@ -134,7 +136,7 @@ class DiskCache:
         """Store ``record`` atomically (tmp file + rename)."""
         path = self._entry_path(spec)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        doc = {"version": self.version, "spec": asdict(spec),
+        doc = {"version": self.version, "spec": asdict(spec.key()),
                "record": record.to_json()}
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as fh:

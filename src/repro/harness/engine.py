@@ -273,13 +273,14 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
               batch: Optional[str] = None) -> List[RunRecord]:
     """Compute (or recall) records for ``specs``; results in input order.
 
-    Every unique uncached spec is simulated exactly once; duplicates and
-    cache hits are free.  The round trip through RunRecord JSON is the
-    same in the serial and parallel paths, so ``jobs`` can never change
-    a result — only how fast it arrives.  ``progress`` (or the default
-    installed via :func:`set_default_progress`) observes the fleet;
-    ``batch`` tags every emitted event with the submitter's batch id so
-    concurrent engine calls sharing one sink stay demuxable.
+    Every uncached spec key (:meth:`RunSpec.key`) is simulated exactly
+    once; duplicates and cache hits are free.  The round trip through
+    RunRecord JSON is the same in the serial and parallel paths, so
+    ``jobs`` can never change a result — only how fast it arrives.
+    ``progress`` (or the default installed via
+    :func:`set_default_progress`) observes the fleet; ``batch`` tags
+    every emitted event with the submitter's batch id so concurrent
+    engine calls sharing one sink stay demuxable.
     """
     specs = list(specs)
     jobs = resolve_jobs(jobs)
@@ -290,8 +291,9 @@ def run_specs(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     missing: List[RunSpec] = []
     seen = set()
     for spec in specs:
-        if spec not in seen:
-            seen.add(spec)
+        key = spec.key()
+        if key not in seen:
+            seen.add(key)
             if runner.cached_record(spec) is None:
                 missing.append(spec)
             elif progress is not None:
@@ -432,8 +434,9 @@ def run_specs_sharded(specs: Iterable[RunSpec], leg_cycles: int,
     missing: List[RunSpec] = []
     seen = set()
     for spec in specs:
-        if spec not in seen:
-            seen.add(spec)
+        key = spec.key()
+        if key not in seen:
+            seen.add(key)
             if runner.cached_record(spec) is None:
                 missing.append(spec)
             elif progress is not None:
@@ -512,8 +515,8 @@ def warm(specs: Iterable[RunSpec], jobs: Optional[int] = None,
     drivers) does zero simulation work for these specs.
     """
     specs = list(specs)
-    uncached = sum(1 for spec in dict.fromkeys(specs)
-                   if runner.cached_record(spec) is None)
+    uncached = sum(1 for key in dict.fromkeys(s.key() for s in specs)
+                   if runner.cached_record(key) is None)
     run_specs(specs, jobs=jobs, trace_dir=trace_dir, progress=progress,
               batch=batch)
     return uncached

@@ -19,7 +19,9 @@ disk cache replay them without any simulation work.
 
 The paper reports timing as averages over 3 executions; the simulator
 is deterministic for a fixed seed, so repetition happens over seeds and
-the reported deviation is across-seed.
+the reported deviation is across-seed.  The seed only drives the PEBS
+sampling jitter, so an unmonitored spec is one run for every seed and
+every cache layer keys it by :meth:`RunSpec.key`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.config import GCConfig, SystemConfig, scaled_interval
 from repro.harness import diskcache
 from repro.harness.record import RunRecord
-from repro.vm import snapshot as snapshot_mod
 from repro.vm.snapshot import Snapshot
 from repro.vm.vmcore import RunResult, VM
 from repro.workloads import suite
@@ -49,12 +50,6 @@ SIM_RUNS = 0
 #: ``until_cycles`` run never re-executes the prefix.
 SIM_CYCLES = 0
 
-#: Checkpoint grid ``measure(repeats)`` uses when it has to simulate
-#: the first seed itself: coarse enough to stay cheap, fine enough
-#: that seed-invariant specs (see :func:`repro.vm.snapshot.reseed`)
-#: reuse most of the prefix for every further seed.
-MEASURE_CHECKPOINT_EVERY = 1_000_000
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -70,13 +65,26 @@ class RunSpec:
     seed: int = 1
     #: Stop (and record) once the cycle clock passes this bound; None
     #: runs to completion.  Two specs differing only here share one
-    #: checkpoint family in the caches (see :func:`base_spec`).
+    #: checkpoint family in the caches (see :meth:`base`).
     until_cycles: Optional[int] = None
 
+    def key(self) -> "RunSpec":
+        """The spec every cache layer stores this run under.
+
+        The seed feeds only the PEBS interval jitter, so a run without
+        monitoring consumes no randomness and is the same run for every
+        seed: it is keyed as if its seed were the default.  Equality,
+        hashing and ``seed`` itself stay field-wise.
+        """
+        if self.monitoring or self.seed == 1:
+            return self
+        return replace(self, seed=1)
+
     def base(self) -> "RunSpec":
-        """The spec with the cycle bound stripped — the snapshot key."""
-        return replace(self, until_cycles=None) if self.until_cycles \
-            else self
+        """:meth:`key` with the cycle bound stripped — the snapshot key."""
+        key = self.key()
+        return replace(key, until_cycles=None) if key.until_cycles \
+            else key
 
     def system_config(self, min_heap_bytes: int) -> SystemConfig:
         sampling = (None if self.interval == "auto"
@@ -117,6 +125,7 @@ class Measurement:
 
 
 _CACHE: Dict[RunSpec, Measurement] = {}
+#: Record memo, keyed by :meth:`RunSpec.key`.
 _RECORDS: Dict[RunSpec, RunRecord] = {}
 #: In-process checkpoint memo: base spec -> {cycle: Snapshot}.
 _SNAPSHOTS: Dict[RunSpec, Dict[int, Snapshot]] = {}
@@ -223,19 +232,19 @@ def _drive(vm: VM, until_cycles: Optional[int] = None,
 
 def cached_record(spec: RunSpec) -> Optional[RunRecord]:
     """Look ``spec`` up in the memo and disk layers without computing."""
-    record = _RECORDS.get(spec)
+    record = _RECORDS.get(spec.key())
     if record is None:
         disk = _disk()
         if disk is not None:
             record = disk.get(spec)
             if record is not None:
-                _RECORDS[spec] = record
+                _RECORDS[spec.key()] = record
     return record
 
 
 def store_record(spec: RunSpec, record: RunRecord) -> None:
     """Install a computed record in the memo and disk layers."""
-    _RECORDS[spec] = record
+    _RECORDS[spec.key()] = record
     disk = _disk()
     if disk is not None:
         disk.put(spec, record)
@@ -295,8 +304,7 @@ def best_snapshot(spec: RunSpec) -> Optional[Snapshot]:
     return best
 
 
-def record_for(spec: RunSpec,
-               checkpoint_every: Optional[int] = None) -> RunRecord:
+def record_for(spec: RunSpec) -> RunRecord:
     """One spec's portable result: memo -> disk -> simulate.
 
     Simulation resumes from the best cached checkpoint when one
@@ -308,81 +316,29 @@ def record_for(spec: RunSpec,
     if record is not None:
         return record
     on_checkpoint = None
-    if spec.until_cycles is not None or checkpoint_every:
+    if spec.until_cycles is not None:
         def on_checkpoint(snap, _spec=spec):
             store_snapshot(_spec, snap)
     result = execute(spec, resume_from=best_snapshot(spec),
-                     checkpoint_every=checkpoint_every,
                      on_checkpoint=on_checkpoint)
     record = record_from_result(spec, result)
     store_record(spec, record)
     return record
 
 
-def _record_via_reseed(spec: RunSpec,
-                       donor: RunSpec) -> Optional[RunRecord]:
-    """Derive ``spec``'s record from a *different-seeded* checkpoint.
-
-    ``donor`` is the same configuration under another seed.  A donor
-    checkpoint taken while the run was still seed-invariant — before
-    any PEBS sample fired, at most the configure-time jitter draw deep
-    (see :func:`repro.vm.snapshot.reseed`) — restores into a bit-exact
-    prefix of ``spec``'s own unbroken run, so only the tail needs
-    simulating.  Tries the newest qualifying checkpoint first; returns
-    None when no prefix can be retargeted (callers fall back to a
-    full run).
-    """
-    base = donor.base()
-    candidates = dict(_SNAPSHOTS.get(base, {}))
-    disk = _disk()
-    if disk is not None:
-        for cycle in disk.snapshot_cycles(base):
-            if cycle not in candidates:
-                snap = disk.get_snapshot(base, max_cycle=cycle + 1)
-                if snap is not None:
-                    candidates[snap.cycle] = snap
-    bound = spec.until_cycles
-    for cycle in sorted(candidates, reverse=True):
-        if bound is not None and cycle >= bound:
-            continue
-        if not candidates[cycle].pure:
-            continue
-        vm = candidates[cycle].restore()
-        if not snapshot_mod.reseed(vm, spec.seed):
-            continue
-        record = record_from_result(spec, _drive(vm, until_cycles=bound))
-        store_record(spec, record)
-        return record
-    return None
-
-
 def measure(spec: RunSpec, repeats: int = 1) -> Measurement:
     """Run (cached) with ``repeats`` seeds; aggregate cycle counts.
 
     Each repetition seed is cached independently, so raising ``repeats``
-    only computes the seeds not already measured.  When the first seed
-    must actually be simulated for a multi-seed measurement, the run is
-    checkpointed on the :data:`MEASURE_CHECKPOINT_EVERY` grid and later
-    seeds try to *reseed* the deepest still-seed-invariant checkpoint
-    instead of re-simulating the shared prefix (full-run fallback when
-    the invariant fails — see :func:`_record_via_reseed`).
+    only computes the seeds not already measured.  Without monitoring
+    every seed shares one cache key (see :meth:`RunSpec.key`), so all
+    repetitions come from a single simulation.
     """
     cached = _CACHE.get(spec)
     if cached is not None and len(cached.results) >= repeats:
         return cached
-    records = []
-    for r in range(repeats):
-        if r == 0:
-            every = MEASURE_CHECKPOINT_EVERY if repeats > 1 else None
-            records.append(record_for(spec, checkpoint_every=every))
-            continue
-        seeded = replace(spec, seed=spec.seed + r)
-        record = cached_record(seeded)
-        if record is None:
-            record = _record_via_reseed(seeded, spec)
-        if record is None:
-            record = record_for(seeded)
-        records.append(record)
+    records = [record_for(replace(spec, seed=spec.seed + r))
+               for r in range(repeats)]
     cycles = [r.cycles for r in records]
     measurement = Measurement(
         spec=spec,

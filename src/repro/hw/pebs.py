@@ -80,13 +80,6 @@ class PEBSUnit:
         self.samples_taken = 0
         self.interrupts_raised = 0
         self.samples_dropped = 0
-        # Reseed bookkeeping: how many jitter values the RNG has
-        # served, and the live countdown's draw parameters.  Lets
-        # :meth:`reseed` decide whether a snapshotted prefix is still
-        # seed-invariant (see repro.harness.runner.measure).
-        self.rng_draws = 0
-        self._countdown_start = 0
-        self._countdown_interval = 0
 
     # -- configuration --------------------------------------------------------
 
@@ -122,57 +115,11 @@ class PEBSUnit:
         and over", section 6.1); see the bias tests/ablation.
         """
         if self.config.randomize_bits <= 0:
-            self._countdown_start = self.interval
-            self._countdown_interval = self.interval
             return self.interval
         bits = min(self.config.randomize_bits,
                    max(1, self.interval.bit_length() - 3))
         jitter = self.rng.getrandbits(bits) - (1 << (bits - 1))
-        self.rng_draws += 1
-        value = max(1, self.interval + jitter)
-        self._countdown_start = value
-        self._countdown_interval = self.interval
-        return value
-
-    def reseed(self, rng: random.Random) -> bool:
-        """Swap in a fresh jitter RNG mid-run, before any sample.
-
-        Used by the harness to turn one snapshotted warmup prefix into
-        the prefix of a *different-seeded* run.  The prefix is seed-
-        invariant — identical to what the new seed's unbroken run would
-        have simulated — exactly when the old seed has not yet been
-        *observable*: no sample taken or dropped, at most the single
-        countdown drawn at :meth:`configure` time, and the new seed's
-        first countdown not yet expired at the current event count.
-        Returns False (leaving the unit untouched) when the invariant
-        does not hold; callers must then fall back to a full run.
-        """
-        if self.config.randomize_bits <= 0:
-            # No jitter: the event stream never consults the RNG at
-            # all, so every seed simulates the same run.
-            self.rng = rng
-            return True
-        if self.rng_draws > 1 or self.samples_taken or self.samples_dropped:
-            return False
-        if self.rng_draws == 0:
-            self.rng = rng
-            return True
-        # Replay the one configure-time draw against the new stream.
-        interval = self._countdown_interval
-        bits = min(self.config.randomize_bits,
-                   max(1, interval.bit_length() - 3))
-        jitter = rng.getrandbits(bits) - (1 << (bits - 1))
-        fresh = max(1, interval + jitter)
-        consumed = self._countdown_start - self._countdown
-        remaining = fresh - consumed
-        if remaining <= 0:
-            # The new seed's run would already have sampled inside the
-            # shared prefix — the prefix is not reusable for it.
-            return False
-        self.rng = rng
-        self._countdown_start = fresh
-        self._countdown = remaining
-        return True
+        return max(1, self.interval + jitter)
 
     # -- the event path --------------------------------------------------------
 

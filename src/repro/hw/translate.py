@@ -80,18 +80,19 @@ Handler = Callable[..., int]
 class Translation:
     """The compiled form of one method for one CPU.
 
-    ``blocks`` (built only at fastpath level 2) is a per-pc table:
-    ``blocks[pc]`` is ``(length, closure)`` when a superblock starts at
-    ``pc`` and ``None`` everywhere else, so the driver can test
-    eligibility with one list index.  Mid-block pcs are always ``None``
-    — a quantum split or branch landing inside a fused run simply
-    executes per-instruction until the next block start.
+    ``blocks`` is a per-pc table: ``blocks[pc]`` is ``(length,
+    closure)`` when a superblock starts at ``pc`` and ``None``
+    everywhere else, so the driver can test eligibility with one list
+    index.  Mid-block pcs are always ``None`` — a quantum split or
+    branch landing inside a fused run simply executes per-instruction
+    until the next block start.  Below fastpath level 2 every entry is
+    ``None``, which makes the same driver a pure per-instruction one.
     """
 
     __slots__ = ("cpu", "handlers", "phase2", "blocks")
 
     def __init__(self, cpu, handlers: List[Handler],
-                 phase2: Dict[int, Callable], blocks=None):
+                 phase2: Dict[int, Callable], blocks: List):
         self.cpu = cpu
         self.handlers = handlers
         self.phase2 = phase2
@@ -759,9 +760,10 @@ def translate(cm, cpu) -> Translation:
         else:
             h = _h_bad(f"illegal opcode {op}", method, pc)
         handlers.append(h)
-    blocks = None
     if getattr(cpu, "fastpath_level", 0) >= 2:
         blocks = compile_superblocks(cm, cpu)
+    else:
+        blocks = [None] * len(cm.code)
     return Translation(cpu, handlers, phase2, blocks)
 
 
@@ -1250,7 +1252,7 @@ def _compiled_factory(filename: str, source: str) -> Callable:
     return namespace["_factory"]
 
 
-def compile_superblocks(cm, cpu) -> "List | None":
+def compile_superblocks(cm, cpu) -> List:
     """Build the per-pc superblock table for ``cm`` bound to ``cpu``.
 
     The generated source is compiled at most once per process (see

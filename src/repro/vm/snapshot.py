@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import pickle
-import random
 import struct
 import sys
 import zlib
@@ -56,7 +55,7 @@ def _deep_recursion():
 
 #: Wire format magic + version for :meth:`Snapshot.to_bytes`.
 SNAPSHOT_MAGIC = b"RSNP"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 class SnapshotError(ValueError):
@@ -133,7 +132,9 @@ class Snapshot:
         The header pins the snapshot format version and the repo code
         version: restoring pickled simulator internals under different
         source code would silently diverge, so :meth:`from_bytes`
-        refuses mismatches instead.
+        refuses mismatches instead.  It also carries the payload's
+        length and CRC-32, so a torn or corrupted file is refused
+        before anything is decompressed.
         """
         from repro.harness.diskcache import code_version
 
@@ -143,6 +144,8 @@ class Snapshot:
             "cycle": self.cycle,
             "program": self.program,
             "pure": self.pure,
+            "payload_bytes": len(self._payload),
+            "crc32": zlib.crc32(self._payload),
         }).encode("utf-8")
         return (SNAPSHOT_MAGIC + struct.pack(">I", len(header))
                 + header + self._payload)
@@ -159,6 +162,12 @@ class Snapshot:
             header = json.loads(data[8:8 + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SnapshotError(f"corrupt snapshot header: {exc}")
+        if not isinstance(header, dict) \
+                or not isinstance(header.get("cycle"), int) \
+                or not isinstance(header.get("program"), str):
+            raise SnapshotError("corrupt snapshot header: expected an "
+                                "object with an int cycle and a str "
+                                "program")
         if header.get("version") != SNAPSHOT_VERSION:
             raise SnapshotError(
                 f"snapshot format v{header.get('version')} != "
@@ -171,29 +180,10 @@ class Snapshot:
                     "snapshot was captured under different simulator "
                     "sources (code version mismatch); re-run instead "
                     "of resuming")
-        return cls(data[8 + hlen:], header["cycle"], header["program"],
+        payload = data[8 + hlen:]
+        if len(payload) != header.get("payload_bytes") \
+                or zlib.crc32(payload) != header.get("crc32"):
+            raise SnapshotError("corrupt snapshot payload (length or "
+                                "CRC-32 mismatch)")
+        return cls(payload, header["cycle"], header["program"],
                    pure=bool(header.get("pure", True)))
-
-
-def reseed(vm, new_seed: int) -> bool:
-    """Retarget a restored warmup prefix at a different seed.
-
-    Seeds enter the simulation in exactly two places, both at VM
-    construction: ``vm.rng`` (reserved; never consumed during a run)
-    and the PEBS jitter stream ``Random(seed ^ 0x5EB5)``.  A snapshot
-    taken before the old seed became *observable* — before any sample
-    fired and past at most the single configure-time countdown draw —
-    is therefore a bit-exact prefix of the new seed's unbroken run,
-    provided the new seed's first countdown has not already expired at
-    the captured event count.  :meth:`PEBSUnit.reseed` checks exactly
-    that; on success the prefix is reusable and ``measure(repeats)``
-    skips re-simulating it.  Returns False (VM untouched) otherwise.
-    """
-    if new_seed == vm.config.seed:
-        return True
-    if vm.pebs is not None:
-        if not vm.pebs.reseed(random.Random(new_seed ^ 0x5EB5)):
-            return False
-    vm.rng = random.Random(new_seed)
-    vm.config.seed = new_seed
-    return True

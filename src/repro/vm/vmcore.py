@@ -97,7 +97,6 @@ class VM:
         self.program = program
         self.config = config or SystemConfig()
         self.compilation_plan = compilation_plan
-        self.rng = random.Random(self.config.seed)
         #: Observability: a pure observer of the simulation (never
         #: charges cycles or consumes randomness).  Defaults to the
         #: shared null instance, which records nothing.

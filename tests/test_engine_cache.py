@@ -192,14 +192,14 @@ class TestEngine:
             "worker results land in the parent's disk cache"
 
     def test_measure_repeats_reuse_cached_seeds(self, disk):
+        # Monitored: each seed is its own run (the seed drives the PEBS
+        # jitter), so raising ``repeats`` simulates only the new seed.
         before = sim_runs()
-        measure(CHEAP, repeats=2)
+        measure(MONITORED, repeats=2)
         assert sim_runs() == before + 2
-        m = measure(CHEAP, repeats=3)
+        m = measure(MONITORED, repeats=3)
         assert sim_runs() == before + 3, "only the new seed is simulated"
         assert len(m.results) == 3
-        cycles = {r.cycles for r in m.results}
-        assert len(cycles) >= 1  # seeds may or may not perturb cycles
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from tests.helpers import BASELINE_ONLY
 from repro.core.config import GCConfig, SystemConfig
 from repro.jit.aos import CompilationPlan
 from repro.vm.program import Program
-from repro.vm.vmcore import run_program
+from repro.vm.vmcore import VM, run_program
 from repro.workloads.synth import Fn
 
 # One program recipe = a list of small composable "actions" interpreted
@@ -41,7 +41,9 @@ ACTIONS = st.lists(
 )
 
 
-def build_random_program(actions):
+def build_random_program(actions, repeat=1):
+    """The recipe's program; ``main`` calls the generated method
+    ``repeat`` times (a longer run for slicing)."""
     p = Program("fuzz")
     app = p.define_class("App")
     app.add_static("out", "int")
@@ -103,7 +105,11 @@ def build_random_program(actions):
     work = fn.finish()
 
     main = Fn(p, app, "main")
-    main.iconst(11).call(work).putstatic(app, "out")
+    if repeat > 1:
+        with main.loop(repeat):
+            main.iconst(11).call(work).putstatic(app, "out")
+    else:
+        main.iconst(11).call(work).putstatic(app, "out")
     main.ret()
     p.set_main(main.finish())
     return p, app
@@ -119,9 +125,10 @@ def run_recipe(actions, plan_methods=(), **config_overrides):
     return app.static_values[app.static("out").index]
 
 
-def run_recipe_full(actions, plan_methods=(), **config_overrides):
+def run_recipe_full(actions, plan_methods=(), repeat=1,
+                    **config_overrides):
     """Like :func:`run_recipe` but also returns the RunResult."""
-    p, app = build_random_program(actions)
+    p, app = build_random_program(actions, repeat)
     kwargs = dict(monitoring=False, gc=GCConfig(heap_bytes=1024 * 1024))
     kwargs.update(config_overrides)
     cfg = SystemConfig(**kwargs)
@@ -143,6 +150,11 @@ class TestCompilerEquivalenceFuzz:
     def test_gc_plan_does_not_change_results(self, actions):
         assert run_recipe(actions, gc_plan="genms") == \
             run_recipe(actions, gc_plan="gencopy")
+
+
+#: Calls of the generated method per sliced run: enough instructions
+#: for a few dozen scheduler-quantum boundaries to stop at.
+SLICED_REPEAT = 20
 
 
 class TestInterpreterEquivalenceFuzz:
@@ -185,6 +197,30 @@ class TestInterpreterEquivalenceFuzz:
     @settings(max_examples=10, deadline=None)
     def test_fastpath_matches_reference_monitoring(self, actions):
         self._differential(actions, monitoring=True)
+
+    @given(ACTIONS, st.lists(st.integers(0, 1000), min_size=1, max_size=6))
+    @settings(max_examples=20, deadline=None)
+    def test_sliced_fastpath_matches_unbroken_reference(self, actions,
+                                                        permille):
+        """Levels 1 and 2 stopped at ``until_cycles`` bounds (both the
+        per-instruction and the superblock exit of the driver) and
+        resumed equal the reference's unbroken run."""
+        ref = self._observables(*run_recipe_full(
+            actions, repeat=SLICED_REPEAT, fastpath=0))
+        bounds = sorted(ref[1] * p // 1000 for p in permille)
+        for level in (1, 2):
+            p, app = build_random_program(actions, SLICED_REPEAT)
+            cfg = SystemConfig(monitoring=False,
+                               gc=GCConfig(heap_bytes=1024 * 1024),
+                               fastpath=level)
+            vm = VM(p, cfg, compilation_plan=CompilationPlan([]))
+            vm.begin()
+            for bound in bounds:
+                vm.advance(until_cycles=bound)
+            vm.advance()
+            result = vm.finish()
+            out = app.static_values[app.static("out").index]
+            assert self._observables(out, result) == ref, f"level {level}"
 
 
 class TestGCUnderPressureFuzz:

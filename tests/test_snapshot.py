@@ -7,12 +7,14 @@ counters, PEBS sample count, revert log, lineage ids) is bit-identical
 to never having stopped, at every fastpath level and at any scheduler
 boundary the run was cut at.  On top of that sit the incremental
 layers: extending a cached ``until_cycles`` run simulates only the
-delta, ``measure(repeats)`` retargets seed-invariant prefixes at new
-seeds, and the sharded engine splits runs into legs without changing a
-single bit.
+delta, unmonitored runs share one cache key across seeds, corrupt
+checkpoints on disk are misses rather than crashes, and the sharded
+engine splits runs into legs without changing a single bit.
 """
 
 import json
+import os
+import struct
 from dataclasses import replace
 
 import pytest
@@ -20,7 +22,6 @@ import pytest
 from repro.harness import engine, runner
 from repro.harness.diskcache import DiskCache
 from repro.harness.runner import RunSpec, execute
-from repro.vm import snapshot as snapshot_mod
 from repro.vm.snapshot import Snapshot, SnapshotError
 
 LEVELS = (0, 1, 2)
@@ -31,8 +32,8 @@ FOP = RunSpec(benchmark="fop", heap_mult=2.0, coalloc=True)
 #: Compress cut at 2M cycles: a *truncated* record end-to-end.
 COMPRESS = RunSpec(benchmark="compress", heap_mult=2.0, coalloc=True,
                    until_cycles=2_000_000)
-#: Monitoring off: the seed is never observable, so every checkpoint
-#: stays seed-invariant and ``measure`` reuse is maximal.
+#: Monitoring off: the seed is never consumed, so every seed of this
+#: spec shares one cache key.
 CHEAP = RunSpec(benchmark="fop", heap_mult=1.0, monitoring=False)
 
 
@@ -201,8 +202,6 @@ class TestWireFormat:
             Snapshot.from_bytes(b"RSNP\x00")
 
     def test_stale_code_version_rejected(self):
-        import struct
-
         data = self._snap().to_bytes()
         (hlen,) = struct.unpack(">I", data[4:8])
         header = json.loads(data[8:8 + hlen].decode())
@@ -297,33 +296,10 @@ class TestIncremental:
 
 
 # ---------------------------------------------------------------------------
-# Seed retargeting: measure(repeats) reuses the seed-invariant prefix
+# Seed keying: an unmonitored run is one cache entry for every seed
 # ---------------------------------------------------------------------------
 
-class TestReseed:
-    def test_reseed_retargets_an_early_checkpoint(self):
-        snaps = []
-        execute(replace(FOP, until_cycles=100_000),
-                on_checkpoint=snaps.append)
-        vm = snaps[-1].restore()
-        assert snapshot_mod.reseed(vm, new_seed=2)
-        vm.advance()
-        reseeded = fingerprint(vm.finish())
-        unbroken = fingerprint(execute(replace(FOP, seed=2)))
-        assert reseeded == unbroken
-
-    def test_reseed_refuses_once_seed_is_observable(self):
-        """After samples fired, the old seed is baked into history."""
-        snaps = []
-        execute(replace(FOP, until_cycles=2_000_000),
-                on_checkpoint=snaps.append)
-        vm = snaps[-1].restore()
-        assert vm.pebs.samples_taken > 0
-        assert not snapshot_mod.reseed(vm, new_seed=2)
-        # Refusal must leave the VM untouched: it still finishes as seed 1.
-        vm.advance()
-        assert fingerprint(vm.finish()) == fingerprint(execute(FOP))
-
+class TestSeedKeying:
     def test_measure_repeats_are_bit_exact_per_seed(self, disk):
         m = runner.measure(FOP, repeats=2)
         assert len(m.results) == 2
@@ -333,19 +309,32 @@ class TestReseed:
             fresh = runner.record_for(replace(FOP, seed=FOP.seed + r))
             assert record == fresh, f"repetition {r} diverged"
 
-    def test_measure_skips_resimulating_shared_prefix(self, disk):
-        """With monitoring off, later seeds reuse the deepest checkpoint."""
-        before = runner.SIM_CYCLES
+    def test_unmonitored_measure_simulates_once(self, disk):
+        before = runner.SIM_RUNS
         m = runner.measure(CHEAP, repeats=3)
-        spent = runner.SIM_CYCLES - before
-        one_run = m.results[0].cycles
-        # Three full runs would cost ~3x one run; seeds 2 and 3 each
-        # resume past the deepest 1M-grid checkpoint instead.
-        assert spent < 2 * one_run
-        # The invariant holds *because* nothing sampled: monitored specs
-        # (whose samples consume the seed early) fall back to full runs,
-        # covered by test_measure_repeats_are_bit_exact_per_seed.
+        assert runner.SIM_RUNS - before == 1
+        assert m.results[0] == m.results[1] == m.results[2]
+        assert m.cycles_std == 0.0
         assert not m.results[0].monitor_summary
+
+    def test_unmonitored_seeds_share_one_engine_run(self, disk):
+        specs = [replace(CHEAP, seed=seed) for seed in (1, 2, 3)]
+        before = runner.SIM_RUNS
+        records = engine.run_specs(specs, jobs=1)
+        assert runner.SIM_RUNS - before == 1
+        assert disk.stats()["records"]["entries"] == 1
+        assert records[0] == records[1] == records[2]
+        assert [spec.seed for spec in specs] == [1, 2, 3]
+        assert records[0].provenance["seed"] == 1
+
+    def test_monitored_seeds_keep_distinct_keys(self, disk):
+        seeded = replace(FOP, seed=2)
+        assert FOP.key() != seeded.key()
+        assert seeded.key() is seeded
+        assert replace(CHEAP, seed=2).key() == CHEAP
+        records = engine.run_specs([FOP, seeded], jobs=1)
+        assert records[0] != records[1]
+        assert disk.stats()["records"]["entries"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +380,39 @@ class TestDiskCacheSnapshots:
         assert disk.get_snapshot(short.base()) is None
         assert disk.snapshot_cycles(short.base()) == []
 
+    @pytest.mark.parametrize("damage", ["truncated-payload",
+                                        "list-header", "header-no-cycle"])
+    def test_damaged_checkpoint_fails_closed(self, disk, damage):
+        """A damaged checkpoint is deleted and the run re-simulated."""
+        bounded = replace(FOP, until_cycles=1_000_000)
+        runner.record_for(bounded)
+        [cycle] = disk.snapshot_cycles(FOP.base())
+        path = disk._snapshot_path(FOP.base(), cycle)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        (hlen,) = struct.unpack(">I", data[4:8])
+        header = json.loads(data[8:8 + hlen].decode())
+        if damage == "truncated-payload":
+            data = data[:-100]
+        else:
+            if damage == "list-header":
+                header = [header]
+            else:
+                del header["cycle"]
+            raw = json.dumps(header).encode()
+            data = (data[:4] + struct.pack(">I", len(raw)) + raw
+                    + data[8 + hlen:])
+        with open(path, "wb") as fh:
+            fh.write(data)
+        runner.clear_cache()
+        record = runner.record_for(FOP)
+        assert not os.path.exists(path)
+        runner.set_disk_cache(None)
+        runner.clear_cache()
+        assert record == runner.record_for(FOP)
+
     def test_prune_drops_stale_versions_and_fits_budget(self, disk,
                                                         tmp_path):
-        import os
-
         runner.record_for(replace(COMPRESS, until_cycles=500_000))
         stale_dir = tmp_path / "v-old"
         stale_dir.mkdir()
